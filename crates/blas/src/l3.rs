@@ -8,7 +8,7 @@
 //! register-tiled microkernel ([`crate::kernel`]) does the flops, with the
 //! MC/KC/NC cache blocking and the kernel choice read from the runtime
 //! [`la_core::tune`] configuration. Large products additionally split the
-//! columns of `C` across OS threads (`std::thread::scope`) — the same
+//! columns of `C` across OS threads ([`la_core::ctx::fan_out`]) — the same
 //! data-parallel decomposition a Rayon `par_chunks_mut` would express.
 //!
 //! Every decision point (thread budget, flop threshold, kernel, blocking)
@@ -48,7 +48,7 @@ fn cj<T: Scalar>(conj: bool, x: T) -> T {
 
 /// Graceful degradation of a parallel BLAS-3 operation: snapshots the
 /// output, attempts the parallel path, and — if any worker thread panics
-/// (`std::thread::scope` re-raises the first worker panic on the caller)
+/// ([`la_core::ctx::fan_out`] re-raises a worker panic on the caller)
 /// — restores the snapshot and re-runs the operation on the serial path,
 /// so the process survives and the result is the one the serial code
 /// would have produced. The fallback is counted through
@@ -71,7 +71,8 @@ fn with_serial_fallback<T: Scalar>(
 }
 
 /// Splits the columns of `c` into `stripes` contiguous bands and runs
-/// `f(j0, band)` on scoped threads, where `band` starts at column `j0`.
+/// `f(j0, band)` on [`la_core::ctx::fan_out`] workers, where `band` starts
+/// at column `j0`.
 /// [`MatMut::split_at_col`] hands each worker a disjoint view, so the
 /// split needs no manual length bookkeeping (the final band may be
 /// unpadded, per the view contract).
@@ -82,47 +83,41 @@ where
     let n = c.ncols();
     let base = n / stripes;
     let extra = n % stripes;
-    let fref = &f;
     #[cfg(not(feature = "fault-inject"))]
     let _ = routine;
     // Test-only fault injection (see `TuneConfig::fault_inject_par`): read
-    // on the calling thread — scoped tune overrides do not cross into the
-    // workers — and detonated inside the first spawned stripe so the panic
-    // takes the real cross-thread propagation path. Compiled only into
-    // builds with the `fault-inject` cargo feature; default builds never
-    // read the flag.
+    // on the calling thread and detonated inside the first worker so the
+    // panic takes the real cross-thread propagation path. Compiled only
+    // into builds with the `fault-inject` cargo feature; default builds
+    // never read the flag.
     #[cfg(feature = "fault-inject")]
     let inject = tune::current().fault_inject_par;
     #[cfg(not(feature = "fault-inject"))]
     let inject = false;
-    std::thread::scope(|s| {
-        let mut rest = c;
-        let mut j0 = 0usize;
-        for t in 0..stripes {
-            let w = base + usize::from(t < extra);
-            if w == 0 {
-                continue;
-            }
-            let (mine, tail) = rest.split_at_col(w);
-            rest = tail;
-            let boom = inject && t == 0;
-            s.spawn(move || {
-                let mut mine = mine;
-                if boom {
-                    panic!("injected BLAS-3 stripe fault");
-                }
-                fref(j0, mine.rb());
-                // Silent-corruption injection (one-shot, armed through
-                // `la_core::abft::inject`): flips one element of this
-                // worker's finished band so the checksum layer above has
-                // something real to detect.
-                #[cfg(feature = "fault-inject")]
-                la_core::abft::inject::maybe_corrupt(routine, t, &mut mine.as_mut_slice()[0]);
-                #[cfg(not(feature = "fault-inject"))]
-                let _ = &mut mine;
-            });
-            j0 += w;
+    let mut bands = Vec::with_capacity(stripes);
+    let mut rest = c;
+    let mut j0 = 0usize;
+    for t in 0..stripes {
+        let w = base + usize::from(t < extra);
+        if w == 0 {
+            continue;
         }
+        let (mine, tail) = rest.split_at_col(w);
+        rest = tail;
+        bands.push((t, j0, mine));
+        j0 += w;
+    }
+    la_core::ctx::fan_out(bands, |(t, j0, mut mine)| {
+        if inject && t == 0 {
+            panic!("injected BLAS-3 stripe fault");
+        }
+        f(j0, mine.rb());
+        // Silent-corruption injection (one-shot, armed through
+        // `la_core::abft::inject`): flips one element of this worker's
+        // finished band so the checksum layer above has something real to
+        // detect.
+        #[cfg(feature = "fault-inject")]
+        la_core::abft::inject::maybe_corrupt(routine, t, &mut mine.as_mut_slice()[0]);
     });
 }
 
@@ -822,8 +817,9 @@ fn syrk_impl<T: Scalar>(
 pub(crate) const SYRK_NB: usize = 48;
 
 /// The parallel rank-k path: NB-column blocks dealt round-robin to
-/// `workers` scoped threads. Carries the same fault-injection hook as
-/// [`stripe_cols`] so the degradation path is testable here too.
+/// `workers` [`la_core::ctx::fan_out`] workers. Carries the same
+/// fault-injection hook as [`stripe_cols`] so the degradation path is
+/// testable here too.
 #[allow(clippy::too_many_arguments)]
 fn syrk_blocks_par<T: Scalar>(
     workers: usize,
@@ -858,28 +854,17 @@ fn syrk_blocks_par<T: Scalar>(
     let inject = tune::current().fault_inject_par;
     #[cfg(not(feature = "fault-inject"))]
     let inject = false;
-    std::thread::scope(|s| {
-        for (t, list) in work.into_iter().enumerate() {
-            let boom = inject && t == 0;
-            s.spawn(move || {
-                if boom {
-                    panic!("injected BLAS-3 stripe fault");
-                }
-                for (j0, jb, mut cb) in list {
-                    syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, cb.rb());
-                    // One-shot silent-corruption hook: hits the diagonal
-                    // element of this block (updated under either uplo),
-                    // addressed by block index so tests can aim at it.
-                    #[cfg(feature = "fault-inject")]
-                    la_core::abft::inject::maybe_corrupt(
-                        "syrk",
-                        j0 / SYRK_NB,
-                        &mut cb.as_mut_slice()[j0],
-                    );
-                    #[cfg(not(feature = "fault-inject"))]
-                    let _ = (jb, &mut cb);
-                }
-            });
+    la_core::ctx::fan_out(work.into_iter().enumerate(), |(t, list)| {
+        if inject && t == 0 {
+            panic!("injected BLAS-3 stripe fault");
+        }
+        for (j0, jb, mut cb) in list {
+            syrk_block(plan, conj, uplo, trans, k, alpha, a, beta, j0, jb, cb.rb());
+            // One-shot silent-corruption hook: hits the diagonal element
+            // of this block (updated under either uplo), addressed by
+            // block index so tests can aim at it.
+            #[cfg(feature = "fault-inject")]
+            la_core::abft::inject::maybe_corrupt("syrk", j0 / SYRK_NB, &mut cb.as_mut_slice()[j0]);
         }
     });
 }

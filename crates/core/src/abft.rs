@@ -16,10 +16,10 @@
 //!
 //! * [`AbftPolicy`] — `Off` (default, zero cost) / `Verify` (detect and
 //!   report `INFO = -102`) / `Recover` (detect, then recompute the
-//!   offending stripe from the pre-call snapshot). Initialized from the
-//!   `LA_ABFT` environment variable, settable process-wide via
-//!   [`set_policy`] or per call tree via [`with_policy`] — the same
-//!   pattern as [`crate::tune`], [`crate::except`] and [`crate::probe`].
+//!   offending stripe from the pre-call snapshot). A field of the
+//!   execution context [`crate::ctx`]: initialized from the `LA_ABFT`
+//!   environment variable, settable process-wide via [`set_policy`] or
+//!   per call tree via [`with_policy`].
 //! * [`raise`] / [`take_pending`] — the thread-local "soft-fault errno":
 //!   the BLAS-3 layer returns `()`, so a detected-but-unrecovered fault is
 //!   parked here and collected by the `la90` driver on exit, surfacing as
@@ -37,7 +37,8 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+
+use crate::ctx;
 
 /// What the checksum-protected routines do about soft faults.
 ///
@@ -85,25 +86,9 @@ impl AbftPolicy {
             _ => None,
         }
     }
-
-    /// The default overlaid with the `LA_ABFT` environment variable; an
-    /// absent or unrecognized value leaves the policy `Off`.
-    pub fn from_env() -> Self {
-        std::env::var("LA_ABFT")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
-}
-
-fn global() -> &'static RwLock<AbftPolicy> {
-    static GLOBAL: OnceLock<RwLock<AbftPolicy>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(AbftPolicy::from_env()))
 }
 
 thread_local! {
-    static OVERRIDE: std::cell::RefCell<Vec<AbftPolicy>> =
-        const { std::cell::RefCell::new(Vec::new()) };
     /// The parked fault is stamped with the job epoch it was raised in,
     /// so a fault from job A can never be collected by job B (see
     /// [`job_scope`]).
@@ -117,34 +102,18 @@ thread_local! {
 /// The policy in effect on this thread: the innermost [`with_policy`]
 /// override if one is active, the process-global policy otherwise.
 pub fn policy() -> AbftPolicy {
-    if let Some(p) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return p;
-    }
-    *global().read().unwrap_or_else(|e| e.into_inner())
+    ctx::resolve(|c| c.abft.as_ref(), |g| &g.abft)
 }
 
 /// Replaces the process-global policy.
 pub fn set_policy(p: AbftPolicy) {
-    *global().write().unwrap_or_else(|e| e.into_inner()) = p;
+    ctx::update_global(|g| g.abft = p);
 }
 
 /// Runs `f` with `p` in effect on the current thread only, restoring the
 /// previous state afterwards (also on panic). Nested calls stack.
-///
-/// Like [`crate::tune::with`], the override is consulted at the entry
-/// points of the protected routines, which always run on the calling
-/// thread — so a scoped policy fully governs a call tree even when the
-/// BLAS underneath goes parallel.
 pub fn with_policy<R>(p: AbftPolicy, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.borrow_mut().pop());
-        }
-    }
-    OVERRIDE.with(|o| o.borrow_mut().push(p));
-    let _guard = Guard;
-    f()
+    ctx::with(|c| c.abft = Some(p), f)
 }
 
 /// A detected-but-unrepaired soft fault, parked thread-locally until the

@@ -10,11 +10,11 @@
 //! * **Work stealing** — items are handed out one at a time from a shared
 //!   queue, so a worker that drew a large system does not stall siblings
 //!   holding small ones.
-//! * **Policy inheritance** — the scoped thread-local overrides of
-//!   [`crate::tune`], [`crate::except`], [`crate::abft`], [`crate::probe`]
-//!   and the [`crate::cancel`] token are captured on the *calling* thread
-//!   and re-installed inside every worker, so a batch behaves exactly like
-//!   a loop of sequential calls under the same scopes.
+//! * **Context inheritance** — workers are spawned through
+//!   [`crate::ctx::fan_out`], so each runs under the calling thread's
+//!   execution context (tune config, policies, cancel token, heartbeat)
+//!   and a batch behaves exactly like a loop of sequential calls under
+//!   the same scopes.
 //! * **Panic isolation** — a job that panics is caught at the job
 //!   boundary and recorded as [`crate::cancel::INFO_PANICKED`] (`-104`);
 //!   the worker moves on to the next job and sibling jobs never notice.
@@ -26,15 +26,15 @@
 //!   deadline) makes not-yet-started jobs return
 //!   [`crate::cancel::INFO_CANCELLED`] (`-103`) immediately, and
 //!   in-flight factorizations abandon at their next panel checkpoint.
-//! * **No oversubscription** — each worker registers with
-//!   [`crate::tune::in_pool_worker`], so striped BLAS-3 opened *inside* a
-//!   job divides the host cores by the worker count instead of
+//! * **No oversubscription** — [`crate::ctx::fan_out`] multiplies each
+//!   worker's pool share by the worker count, so striped BLAS-3 opened
+//!   *inside* a job divides the host cores by the worker count instead of
 //!   multiplying with it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use crate::{abft, cancel, except, probe, tune};
+use crate::{abft, cancel, ctx, tune};
 
 /// `INFO` code recorded for a job whose computation returned clean but
 /// left a parked ABFT soft fault behind (the batched analog of the
@@ -60,8 +60,8 @@ pub const INFO_SOFT_FAULT: i32 = -102;
 /// The worker count is the [`tune`] thread budget clamped to the item
 /// count; with a budget of 1 (or a single item) everything runs inline on
 /// the calling thread — same contract, no spawning. Workers inherit the
-/// calling thread's scoped tune/except/abft/probe overrides and cancel
-/// token, and register as pool siblings so nested striped BLAS-3 does not
+/// calling thread's execution context and register as pool siblings
+/// (see [`ctx::fan_out`]), so nested striped BLAS-3 does not
 /// oversubscribe the host.
 pub fn run_batch<T, F>(items: &mut [T], job: F) -> Vec<i32>
 where
@@ -100,49 +100,13 @@ where
         return infos;
     }
 
-    // Capture the calling thread's scoped state; thread-local overrides do
-    // not cross into spawned workers on their own.
-    let cfg = tune::current();
-    let fp = except::policy();
-    let ap = abft::policy();
-    let pp = probe::policy();
-    let token = cancel::current();
-    let beat = cancel::heartbeat();
-
     let queue = Mutex::new(items.iter_mut().zip(infos.iter_mut()).enumerate());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let run_one = &run_one;
-            let token = token.clone();
-            let beat = beat.clone();
-            s.spawn(move || {
-                let drain = || {
-                    tune::in_pool_worker(workers, || loop {
-                        let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
-                        let Some((idx, (item, slot))) = next else {
-                            return;
-                        };
-                        run_one(idx, item, slot);
-                    })
-                };
-                let with_cancel = || match token.clone() {
-                    Some(t) => cancel::with_token(t, drain),
-                    None => drain(),
-                };
-                // Re-install the caller's heartbeat too, so a watchdog
-                // sampling it keeps seeing beats while the batch fans out.
-                let with_cancel = || match beat.clone() {
-                    Some(h) => cancel::with_heartbeat(h, with_cancel),
-                    None => with_cancel(),
-                };
-                tune::with(cfg, || {
-                    except::with_policy(fp, || {
-                        abft::with_policy(ap, || probe::with_policy(pp, with_cancel))
-                    })
-                });
-            });
-        }
+    ctx::fan_out(0..workers, |_| loop {
+        let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
+        let Some((idx, (item, slot))) = next else {
+            return;
+        };
+        run_one(idx, item, slot);
     });
     infos
 }
@@ -329,5 +293,27 @@ mod tests {
                 max_seen.load(Ordering::Relaxed)
             );
         }
+    }
+
+    #[test]
+    fn pool_share_multiplies_across_the_thread_boundary() {
+        // Regression: spawned workers used to start over at share 1, so
+        // nested pools did not divide the host across threads.
+        let seen = Mutex::new(Vec::new());
+        let mut items = vec![(); 2];
+        let cfg = tune::TuneConfig {
+            max_threads: 2,
+            oversubscribe: true,
+            ..tune::TuneConfig::defaults()
+        };
+        tune::in_pool_worker(3, || {
+            tune::with(cfg, || {
+                run_batch(&mut items, |_, _| {
+                    seen.lock().unwrap().push(ctx::capture().pool_share);
+                    0
+                })
+            })
+        });
+        assert_eq!(seen.into_inner().unwrap(), vec![6, 6]);
     }
 }

@@ -25,9 +25,10 @@
 //!   [`crate::abft::job_scope`]; a soft fault detected by a checksummed
 //!   BLAS-3 call inside one task surfaces as *that task's*
 //!   `INFO = -102`, never a sibling's.
-//! * **Policy inheritance & no oversubscription** — workers re-install
-//!   the submitting thread's scoped tune/except/abft/probe policies and
-//!   cancel token, and register with [`crate::tune::in_pool_worker`] so
+//! * **Context inheritance & no oversubscription** — workers are spawned
+//!   through [`crate::ctx::fan_out`]: each runs under the submitting
+//!   thread's execution context (tune config, policies, cancel token,
+//!   heartbeat) with its pool share multiplied by the worker count, so
 //!   BLAS-3 opened inside a task divides the host instead of multiplying
 //!   with the worker count.
 //!
@@ -42,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use crate::{abft, cancel, except, probe, tune};
+use crate::{abft, cancel, ctx, probe, tune};
 
 /// `INFO` recorded for a task whose body returned clean but left a parked
 /// ABFT soft fault behind (same code as [`crate::batch::INFO_SOFT_FAULT`]).
@@ -289,67 +290,37 @@ impl<'a> Builder<'a> {
             });
             let ready_cv = Condvar::new();
 
-            // Capture the submitting thread's scoped state; thread-local
-            // overrides do not cross into spawned workers on their own.
-            let cfg = tune::current();
-            let fp = except::policy();
-            let ap = abft::policy();
-            let pp = probe::policy();
-            let token = cancel::current();
-
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let state = &state;
-                    let ready_cv = &ready_cv;
-                    let tasks = &tasks;
-                    let run_one = &run_one;
-                    let token = token.clone();
-                    s.spawn(move || {
-                        let drain = || {
-                            tune::in_pool_worker(workers, || loop {
-                                let (task, skip) = {
-                                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                                    loop {
-                                        if let Some(t) = st.ready.pop_front() {
-                                            break (t, st.abort);
-                                        }
-                                        if st.done == tasks.len() {
-                                            return;
-                                        }
-                                        st = ready_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                                    }
-                                };
-                                // An aborted graph drains without running
-                                // bodies: dependents of a poisoned or
-                                // cancelled tile must not execute.
-                                let info = if skip { 0 } else { run_one(&tasks[task]) };
-                                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                                st.infos[task] = info;
-                                if info < 0 {
-                                    st.abort = true;
-                                }
-                                for &succ in &tasks[task].succs {
-                                    st.npred[succ] -= 1;
-                                    if st.npred[succ] == 0 {
-                                        st.ready.push_back(succ);
-                                    }
-                                }
-                                st.done += 1;
-                                // Wake siblings: new work, or completion.
-                                ready_cv.notify_all();
-                            })
-                        };
-                        let with_cancel = || match token.clone() {
-                            Some(t) => cancel::with_token(t, drain),
-                            None => drain(),
-                        };
-                        tune::with(cfg, || {
-                            except::with_policy(fp, || {
-                                abft::with_policy(ap, || probe::with_policy(pp, with_cancel))
-                            })
-                        });
-                    });
+            ctx::fan_out(0..workers, |_| loop {
+                let (task, skip) = {
+                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+                    loop {
+                        if let Some(t) = st.ready.pop_front() {
+                            break (t, st.abort);
+                        }
+                        if st.done == tasks.len() {
+                            return;
+                        }
+                        st = ready_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                    }
+                };
+                // An aborted graph drains without running bodies:
+                // dependents of a poisoned or cancelled tile must not
+                // execute.
+                let info = if skip { 0 } else { run_one(&tasks[task]) };
+                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+                st.infos[task] = info;
+                if info < 0 {
+                    st.abort = true;
                 }
+                for &succ in &tasks[task].succs {
+                    st.npred[succ] -= 1;
+                    if st.npred[succ] == 0 {
+                        st.ready.push_back(succ);
+                    }
+                }
+                st.done += 1;
+                // Wake siblings: new work, or completion.
+                ready_cv.notify_all();
             });
             infos = state.into_inner().unwrap_or_else(|e| e.into_inner()).infos;
         }
@@ -586,5 +557,29 @@ mod tests {
             abft::with_policy(abft::AbftPolicy::Verify, || g.run())
         });
         assert_eq!(seen.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn workers_stamp_the_callers_heartbeat() {
+        // Regression: the workers used to re-install the cancel token but
+        // not the heartbeat, so a watchdog saw no beats while a graph ran.
+        let hb = cancel::Heartbeat::new();
+        let mut g = Builder::new();
+        for i in 0..16 {
+            g.task("t", &[], &[i], || 0);
+        }
+        let cfg = tune::TuneConfig {
+            max_threads: 2,
+            oversubscribe: true,
+            ..tune::TuneConfig::defaults()
+        };
+        let r = cancel::with_heartbeat(hb.clone(), || tune::with(cfg, || g.run()));
+        assert_eq!(r.stats.workers, 2);
+        assert!(
+            hb.beats() >= 16,
+            "every task's cancel checkpoint stamps the inherited heartbeat \
+             (saw {} beats for 16 tasks)",
+            hb.beats()
+        );
     }
 }

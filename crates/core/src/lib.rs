@@ -18,6 +18,11 @@
 //!   with the exact LAPACK sign conventions.
 //! * [`Uplo`], [`Trans`], [`Diag`], [`Side`], [`Norm`] — the character
 //!   flag arguments as enums.
+//! * [`ctx`] — the execution context: one value holding the tune config,
+//!   the fp-check/ABFT/probe policies, the cancel token, the heartbeat
+//!   and the pool share, with one process global, one thread-local
+//!   override stack, one `LA_*` env parser and the `fan_out` helper that
+//!   carries it all into worker threads.
 //! * [`tune`] — the runtime tuning subsystem (`ILAENV` as a settable
 //!   object): thread budget, parallel thresholds, per-routine block
 //!   sizes, all adjustable programmatically or via `LA_*` environment
@@ -65,6 +70,7 @@ pub mod abft;
 pub mod batch;
 pub mod cancel;
 pub mod complex;
+pub mod ctx;
 pub mod dag;
 pub mod dd;
 pub mod enums;

@@ -11,10 +11,9 @@
 //! actually executed, with the block size and thread count it read from
 //! [`crate::tune`] at that moment.
 //!
-//! Three policy levels, mirroring the `LA_FP_CHECK` pattern of
-//! [`crate::except`]:
+//! Three policy levels:
 //!
-//! * [`ProbePolicy::Off`] (default) — a single relaxed atomic load per
+//! * [`ProbePolicy::Off`] (default) — one lock-free policy read per
 //!   instrumented call; no clocks, no locks, no allocation.
 //! * [`ProbePolicy::Counters`] — per-routine totals: calls, closed-form
 //!   flops (see [`flops`]), bytes touched, wall nanoseconds (monotonic
@@ -23,9 +22,10 @@
 //!   a `gesv` driver call records its `getrf` child and that child's
 //!   `gemm`/`trsm` leaves, each leaf carrying the NB/thread-count it used.
 //!
-//! Set the policy with the `LA_PROFILE` environment variable
-//! (`off|counters|spans`), process-wide with [`set_policy`], or per call
-//! tree with [`with_policy`]. Read results with [`snapshot`], which
+//! The policy is a field of the execution context [`crate::ctx`]: set it
+//! with the `LA_PROFILE` environment variable (`off|counters|spans`),
+//! process-wide with [`set_policy`], or per call tree with
+//! [`with_policy`]. Read results with [`snapshot`], which
 //! returns a [`Report`] convertible to a plain-text table
 //! ([`Report::to_table`]) or JSON ([`Report::to_json`], emitted through
 //! [`crate::json`] and shaped like the `BENCH_*.json` trajectory files).
@@ -45,12 +45,11 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::JsonBuf;
-use crate::tune;
+use crate::{ctx, tune};
 
 // ---------------------------------------------------------------------------
 // Policy
@@ -59,7 +58,7 @@ use crate::tune;
 /// How much the probe layer records (see the module docs).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProbePolicy {
-    /// No instrumentation (default): one relaxed atomic load per call.
+    /// No instrumentation (default): one lock-free policy read per call.
     #[default]
     Off,
     /// Per-routine counters (calls, flops, bytes, wall time).
@@ -80,74 +79,23 @@ impl ProbePolicy {
             _ => None,
         }
     }
-
-    /// The default overlaid with the `LA_PROFILE` environment variable;
-    /// an absent or unrecognized value leaves the policy `Off`.
-    pub fn from_env() -> Self {
-        std::env::var("LA_PROFILE")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => ProbePolicy::Counters,
-            2 => ProbePolicy::Spans,
-            _ => ProbePolicy::Off,
-        }
-    }
-}
-
-/// Global policy as a `u8`; `UNSET` means "read `LA_PROFILE` on first
-/// use". A plain atomic (not a lock) keeps the `Off` fast path to a
-/// single relaxed load.
-const UNSET: u8 = u8::MAX;
-static GLOBAL: AtomicU8 = AtomicU8::new(UNSET);
-
-thread_local! {
-    static OVERRIDE: RefCell<Vec<ProbePolicy>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The policy in effect on this thread: the innermost [`with_policy`]
 /// override if one is active, the process-global policy otherwise.
 pub fn policy() -> ProbePolicy {
-    if let Some(p) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return p;
-    }
-    let v = GLOBAL.load(Ordering::Relaxed);
-    if v != UNSET {
-        return ProbePolicy::from_u8(v);
-    }
-    // First use: initialize from the environment. The race is benign —
-    // every contender computes the same value.
-    let p = ProbePolicy::from_env();
-    GLOBAL.store(p as u8, Ordering::Relaxed);
-    p
+    ctx::resolve(|c| c.probe.as_ref(), |g| &g.probe)
 }
 
 /// Replaces the process-global policy.
 pub fn set_policy(p: ProbePolicy) {
-    GLOBAL.store(p as u8, Ordering::Relaxed);
+    ctx::update_global(|g| g.probe = p);
 }
 
 /// Runs `f` with `p` in effect on the current thread only, restoring the
 /// previous state afterwards (also on panic). Nested calls stack.
-///
-/// Like [`crate::tune::with`], the override is consulted at the
-/// instrumented entry points, which all run on the calling thread before
-/// any worker threads spawn — so a scoped policy governs a whole call
-/// tree even when the BLAS underneath goes parallel.
 pub fn with_policy<R>(p: ProbePolicy, f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.borrow_mut().pop());
-        }
-    }
-    OVERRIDE.with(|o| o.borrow_mut().push(p));
-    let _guard = Guard;
-    f()
+    ctx::with(|c| c.probe = Some(p), f)
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +461,7 @@ impl Drop for ProbeGuard {
 /// let _probe = probe::span(Layer::Blas, "gemm", flops::gemm(m, n, k), bytes);
 /// ```
 ///
-/// Under [`ProbePolicy::Off`] this is a single atomic load and returns an
+/// Under [`ProbePolicy::Off`] this is one policy read and returns an
 /// inert guard — no clock is read, nothing allocates. Otherwise the
 /// guard's `Drop` adds the call to the per-routine counters and (under
 /// [`ProbePolicy::Spans`]) to the span tree, nested under whatever

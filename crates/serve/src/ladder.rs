@@ -30,9 +30,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use la_core::abft::AbftPolicy;
+use la_core::cancel;
+use la_core::ctx::{self, ExecCtx};
 use la_core::except::FpCheckPolicy;
 use la_core::tune::{self, GemmKernel, TuneConfig};
-use la_core::{abft, cancel, except};
 use la_core::{LaError, Mat, RealScalar, Scalar, Side, Trans};
 use la_lapack::Lattice;
 
@@ -44,33 +45,6 @@ use crate::{Rejection, ServeConfig, SolveOp, SolveOutput};
 pub(crate) struct Attempted<T: Lattice> {
     pub outcome: Result<SolveOutput<T>, Rejection>,
     pub fault_seen: bool,
-}
-
-fn with_opt_abft<R>(p: Option<AbftPolicy>, f: impl FnOnce() -> R) -> R {
-    match p {
-        Some(p) => abft::with_policy(p, f),
-        None => f(),
-    }
-}
-
-fn with_opt_fp<R>(p: Option<FpCheckPolicy>, f: impl FnOnce() -> R) -> R {
-    match p {
-        Some(p) => except::with_policy(p, f),
-        None => f(),
-    }
-}
-
-fn with_opt_kernel<R>(k: Option<GemmKernel>, f: impl FnOnce() -> R) -> R {
-    match k {
-        Some(gemm_kernel) => tune::with(
-            TuneConfig {
-                gemm_kernel,
-                ..tune::current()
-            },
-            f,
-        ),
-        None => f(),
-    }
 }
 
 /// One solve attempt. The job's `a`/`b` stay pristine (attempts must be
@@ -206,11 +180,19 @@ pub(crate) fn run<T: Lattice>(
         }
         attempts += 1;
         let solved = catch_unwind(AssertUnwindSafe(|| {
-            with_opt_kernel(kernel, || {
-                with_opt_abft(abft_boost, || {
-                    with_opt_fp(fp_boost, || solve_once(op, a, b))
-                })
-            })
+            // One override: the tenant's kernel pin and the ladder's
+            // boosts; fields left unset keep the job's context.
+            let boosts = |c: &mut ExecCtx| {
+                if let Some(gemm_kernel) = kernel {
+                    c.tune = Some(TuneConfig {
+                        gemm_kernel,
+                        ..tune::current()
+                    });
+                }
+                c.abft = abft_boost.or(c.abft);
+                c.fp_check = fp_boost.or(c.fp_check);
+            };
+            ctx::with(boosts, || solve_once(op, a, b))
         }));
         match solved {
             Err(_) => {

@@ -55,9 +55,9 @@
 //!   [`la_core::abft::job_scope`] and [`la_core::probe::job_scope`], so a
 //!   fault or counter from an abandoned job can never leak into a
 //!   sibling, and per-tenant flop/time accounting is exact.
-//! * **No oversubscription** — workers register with
-//!   [`la_core::tune::in_pool_worker`], so striped BLAS-3 inside a job
-//!   divides the host cores by the worker count.
+//! * **No oversubscription** — each job's execution context
+//!   ([`la_core::ctx`]) multiplies the pool share by the worker count, so
+//!   striped BLAS-3 inside a job divides the host cores by it.
 //!
 //! Completion is exposed as a [`JobHandle`] that is both a blocking
 //! future ([`JobHandle::wait`]) and a [`std::future::Future`], so the

@@ -11,9 +11,10 @@ use std::time::{Duration, Instant};
 
 use la_core::abft::AbftPolicy;
 use la_core::cancel::{CancelToken, Heartbeat};
+use la_core::ctx::{self, ExecCtx};
 use la_core::probe::Layer;
 use la_core::tune::{RefineMode, TuneConfig};
-use la_core::{abft, cancel, except, probe, tune};
+use la_core::{abft, probe, tune};
 use la_lapack::Lattice;
 
 use crate::admission::{Controller, Verdict};
@@ -86,17 +87,6 @@ pub struct ServeStats {
     pub queued: usize,
 }
 
-/// The scoped policies captured at [`Service::start`], kept for watchdog
-/// respawns so a replacement worker is indistinguishable from the
-/// original.
-#[derive(Clone, Copy)]
-struct Policies {
-    tune: TuneConfig,
-    fp: la_core::FpCheckPolicy,
-    abft: AbftPolicy,
-    probe: la_core::ProbePolicy,
-}
-
 struct Inner<T: Lattice> {
     cfg: ServeConfig,
     workers: usize,
@@ -119,7 +109,10 @@ struct Inner<T: Lattice> {
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Monotone job numbers for the watchdog registrations.
     job_seq: AtomicU64,
-    policies: Policies,
+    /// The execution context captured at [`Service::start`], entered by
+    /// every worker — watchdog respawns included, so a replacement worker
+    /// is indistinguishable from the original.
+    ctx: ExecCtx,
 }
 
 impl<T: Lattice> Inner<T> {
@@ -158,10 +151,9 @@ impl<T: Lattice> Service<T> {
     /// Starts the worker pool (and, when configured, the watchdog
     /// monitor) and returns the running service.
     ///
-    /// The scoped thread-local policies in effect on the *calling* thread
-    /// — [`la_core::tune`], [`la_core::abft`], [`la_core::except`],
-    /// [`la_core::probe`] — are captured here and installed in every
-    /// worker, so `abft::with_policy(Recover, || Service::start(cfg))`
+    /// The execution context of the *calling* thread ([`la_core::ctx`]:
+    /// the scoped tune config and policies) is captured here and entered
+    /// by every worker, so `abft::with_policy(Recover, || Service::start(cfg))`
     /// serves every job under `Recover`.
     pub fn start(cfg: ServeConfig) -> Self {
         let workers = if cfg.workers > 0 {
@@ -177,12 +169,6 @@ impl<T: Lattice> Service<T> {
         };
         let target_ns = cfg.target_delay.map(|d| d.as_nanos() as u64).unwrap_or(0);
         let admission = Controller::new(workers, cfg.queue_depth, target_ns, cfg.brownout);
-        let policies = Policies {
-            tune: tune::current(),
-            fp: except::policy(),
-            abft: abft::policy(),
-            probe: probe::policy(),
-        };
         let watchdog = cfg.watchdog;
         let inner = Arc::new(Inner {
             cfg,
@@ -198,7 +184,7 @@ impl<T: Lattice> Service<T> {
             slots: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
             job_seq: AtomicU64::new(1),
-            policies,
+            ctx: ctx::capture(),
         });
         {
             let mut slots = inner.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -399,26 +385,17 @@ impl<T: Lattice> Drop for Service<T> {
     }
 }
 
-/// Spawns worker `i` with the service's captured policies installed —
-/// used both at start and for watchdog respawns.
+/// Spawns worker `i` under the service's captured context — used both at
+/// start and for watchdog respawns.
 fn spawn_worker<T: Lattice>(
     inner: &Arc<Inner<T>>,
     i: usize,
     slot: Arc<WorkerSlot<T>>,
 ) -> JoinHandle<()> {
     let inner = Arc::clone(inner);
-    let p = inner.policies;
     std::thread::Builder::new()
         .name(format!("la-serve-{i}"))
-        .spawn(move || {
-            tune::with(p.tune, || {
-                except::with_policy(p.fp, || {
-                    abft::with_policy(p.abft, || {
-                        probe::with_policy(p.probe, || worker_loop(inner, slot))
-                    })
-                })
-            })
-        })
+        .spawn(move || ctx::enter(inner.ctx.clone(), || worker_loop(inner, slot)))
         .expect("la-serve: failed to spawn worker thread")
 }
 
@@ -540,25 +517,20 @@ fn run_browned_out<T: Lattice>(
     } else {
         op
     };
-    let run = || ladder::run(op, a, b, cfg, kernel);
-    let run_refine = || {
-        if level >= 1 {
-            tune::with(
-                TuneConfig {
+    ctx::with(
+        |c| {
+            if level >= 1 {
+                c.tune = Some(TuneConfig {
                     refine: RefineMode::Working,
                     ..tune::current()
-                },
-                run,
-            )
-        } else {
-            run()
-        }
-    };
-    if level >= 3 {
-        abft::with_policy(AbftPolicy::Off, run_refine)
-    } else {
-        run_refine()
-    }
+                });
+            }
+            if level >= 3 {
+                c.abft = Some(AbftPolicy::Off);
+            }
+        },
+        || ladder::run(op, a, b, cfg, kernel),
+    )
 }
 
 /// Runs one job through the full robustness pipeline and fulfills its
@@ -607,28 +579,28 @@ fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Qu
         spec.tenant.clone(),
     );
     let started = Instant::now();
+    // The job's token and heartbeat, plus the nested-pool clamp so
+    // striped BLAS-3 inside the job divides the host by the worker count;
+    // then ABFT faults and probe counters scoped to this job alone.
+    let job_ctx = |c: &mut ExecCtx| {
+        c.token = Some(token.clone());
+        c.heartbeat = Some(heartbeat.clone());
+        c.pool_share = c.pool_share.saturating_mul(workers);
+    };
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        cancel::with_token(token.clone(), || {
-            cancel::with_heartbeat(heartbeat.clone(), || {
-                // Register with the nested-pool clamp so striped BLAS-3
-                // inside the job divides the host by the worker count,
-                // then scope ABFT faults and probe counters to this job
-                // alone.
-                tune::in_pool_worker(workers, || {
-                    probe::job_scope(|| {
-                        abft::job_scope(|| {
-                            let _span = probe::span(Layer::Driver, brownout_span(level), 0, 0);
-                            #[cfg(feature = "fault-inject")]
-                            if spec.chaos_panic {
-                                panic!("chaos: injected worker panic");
-                            }
-                            #[cfg(feature = "fault-inject")]
-                            if let Some(kind) = spec.chaos_wedge {
-                                crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
-                            }
-                            run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, kernel)
-                        })
-                    })
+        ctx::with(job_ctx, || {
+            probe::job_scope(|| {
+                abft::job_scope(|| {
+                    let _span = probe::span(Layer::Driver, brownout_span(level), 0, 0);
+                    #[cfg(feature = "fault-inject")]
+                    if spec.chaos_panic {
+                        panic!("chaos: injected worker panic");
+                    }
+                    #[cfg(feature = "fault-inject")]
+                    if let Some(kind) = spec.chaos_wedge {
+                        crate::chaos::wedge(kind, &token, &slot.abandoned, &inner.shutdown);
+                    }
+                    run_browned_out(level, spec.op, &spec.a, &spec.b, cfg, kernel)
                 })
             })
         })
