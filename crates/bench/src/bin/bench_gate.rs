@@ -34,13 +34,15 @@
 //! guards the committed measurement, while the ratio rule guards fresh
 //! runs against relative regressions.
 //!
-//! Two lattice checks ride the same baseline: `--min-lattice-speedup`
-//! floors the `speedup_lattice_vs_full` f16/bf16 ratios at n ≥ 1024 (the
-//! software half formats reroute through f32 compute, so they must not
-//! collapse below a sanity fraction of the plain-f64 driver), and
-//! `--max-dd-berr` ceilings the `dd_hilbert.berr` accuracy row — the
-//! componentwise backward error the double-double-residual `gesvxx`
-//! achieves on the n = 12 Hilbert system, committed at ≤ 4ε.
+//! Two double-double checks ride the same baseline:
+//! `--min-lattice-speedup` floors the `speedup_lattice_vs_full` entries
+//! at n ≥ 1024 — today the one `gesv_dd_1024` ratio of the f32 mixed
+//! solve with double-double residuals over plain f64 `gesv` (the
+//! extended residuals cost O(n²) per step, so the loop must not collapse
+//! below a sanity fraction of the plain driver) — and `--max-dd-berr`
+//! ceilings the `dd_hilbert.berr` accuracy row — the componentwise
+//! backward error the double-double-residual `gesvxx` achieves on the
+//! n = 12 Hilbert system, committed at ≤ 4ε.
 //!
 //! Likewise for the ABFT sweep (`BENCH_abft.json` from `abft_sweep`):
 //! its `abft_sweep` rows join the regression comparison, and
@@ -338,13 +340,13 @@ fn main() {
             std::process::exit(2);
         }
     }
-    // Absolute floor on the baseline's per-lattice-level speedup: the
-    // software half formats reroute through f32 compute, so they carry
-    // conversion + extra-refinement cost — the floor is a sanity
-    // fraction of the plain-f64 driver, not a speedup claim, and it
-    // catches a half path that silently falls off a performance cliff.
+    // Absolute floor on the baseline's double-double-residual speedup:
+    // the Dd residuals carry extra O(n²) cost per refinement step — the
+    // floor is a sanity fraction of the plain-f64 driver, not a speedup
+    // claim, and it catches a dd loop that silently falls off a
+    // performance cliff.
     if min_lattice.is_some() && base_doc.is_none() {
-        skip("lattice-speedup floor");
+        skip("dd-speedup floor");
     }
     if let (Some(floor), Some(doc)) = (min_lattice, &base_doc) {
         let Some(Json::Obj(speedups)) = doc.get("speedup_lattice_vs_full") else {
@@ -368,10 +370,10 @@ fn main() {
             } else {
                 ""
             };
-            println!("  lattice speedup {key:<21} {s:7.3}  (floor {floor:.2}){flag}");
+            println!("  dd speedup {key:<26} {s:7.3}  (floor {floor:.2}){flag}");
         }
         if checked == 0 {
-            eprintln!("bench_gate: no lattice speedup entries at n >= 1024 in {baseline_path}");
+            eprintln!("bench_gate: no dd speedup entries at n >= 1024 in {baseline_path}");
             std::process::exit(2);
         }
     }

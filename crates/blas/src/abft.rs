@@ -702,6 +702,12 @@ pub(crate) fn trmm_verify<T: Scalar>(
     })
 }
 
+/// Serializes the unit tests that arm the process-global fault injector
+/// with those that drive striped `gemm` directly: a concurrent striped
+/// run would otherwise consume the armed corruption, failing both tests.
+#[cfg(test)]
+pub(crate) static INJECTOR_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,6 +748,7 @@ mod tests {
     fn gemm_corruption_is_detected_and_recovered() {
         use la_core::abft::inject::{arm, is_armed, CorruptKind, Corruption};
         use la_core::abft::{clear_pending, take_pending, with_policy};
+        let _serial = INJECTOR_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let (m, n, k) = (24usize, 32usize, 24usize);
         let a: Vec<f64> = (0..m * k)
             .map(|i| ((i * 7 % 13) as f64 - 6.0) / 3.0)

@@ -26,7 +26,6 @@
 
 pub(crate) mod abft;
 pub mod batch;
-pub(crate) mod halfp;
 pub mod kernel;
 pub mod l1;
 pub mod l2;

@@ -44,7 +44,7 @@ use crate::abft::AbftPolicy;
 use crate::cancel::{CancelToken, Heartbeat};
 use crate::except::FpCheckPolicy;
 use crate::probe::ProbePolicy;
-use crate::tune::{FactorAlgo, GemmKernel, MixedLo, RefineMode, TuneConfig};
+use crate::tune::{FactorAlgo, GemmKernel, RefineMode, TuneConfig};
 
 /// The per-call-tree execution context. Plain data: clone it, edit
 /// fields, hand it to [`enter`] (or edit in place through [`with`]).
@@ -187,7 +187,6 @@ impl Global {
         }
         pick!("LA_GEMM_KERNEL", "auto|scalar|unrolled|simd", GemmKernel::parse => t.gemm_kernel);
         pick!("LA_FACTOR", "blocked|dag", FactorAlgo::parse => t.factor);
-        pick!("LA_GESV_MIXED", "f32|f16|bf16", MixedLo::parse => t.mixed_lo);
         pick!("LA_REFINE", "working|dd", RefineMode::parse => t.refine);
         // `LA_OVERSUBSCRIBE=1` lifts the host-core clamp on the thread
         // budget — the TSan stress job uses it to run many more workers
@@ -196,6 +195,14 @@ impl Global {
         pick!("LA_FP_CHECK", "off|inputs|outputs|full", FpCheckPolicy::parse => g.fp_check);
         pick!("LA_ABFT", "off|verify|recover", AbftPolicy::parse => g.abft);
         pick!("LA_PROFILE", "off|counters|spans", ProbePolicy::parse => g.probe);
+        // Removed knobs still get a word, so a stale setting is not
+        // silently ignored.
+        if let Some(raw) = get("LA_GESV_MIXED") {
+            warnings.push(format!(
+                "LA_GESV_MIXED: removed; value {raw:?} ignored (the mixed drivers always \
+                 factor in f32, or C32 for complex data)"
+            ));
+        }
         (g, warnings)
     }
 }
@@ -468,6 +475,22 @@ mod tests {
             let w: Vec<_> = warnings.iter().filter(|w| w.starts_with(var)).collect();
             assert_eq!(w.len(), 1, "one warning for {var}: {warnings:?}");
             assert!(w[0].ends_with("using default off"), "{:?}", w[0]);
+        }
+    }
+
+    #[test]
+    fn removed_mixed_level_variable_warns() {
+        for value in ["f16", "bf16", "f32"] {
+            let (g, warnings) =
+                Global::from_env_with(|name| (name == "LA_GESV_MIXED").then(|| value.to_string()));
+            assert_eq!(g, Global::DEFAULT);
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            let w = &warnings[0];
+            assert!(w.starts_with("LA_GESV_MIXED: removed"), "{w:?}");
+            assert!(
+                w.contains(value) && w.contains("f32") && w.contains("C32"),
+                "{w:?}"
+            );
         }
     }
 

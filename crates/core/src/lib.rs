@@ -50,17 +50,13 @@
 //!   counters with closed-form flop accounting, hierarchical span tracing
 //!   across the driver → factorization → BLAS-3 stack, and structured
 //!   reports.
-//! * [`mixed`] — the precision lattice ([`Demote`]/[`Promote`] plus the
-//!   multi-target [`mixed::DemoteTo`]): `f64 ↔ {f32, f16, bf16}`,
-//!   `Complex<f64> ↔ Complex<f32>` and `f32 ↔ {f16, bf16}` bridges with
-//!   per-edge eps/overflow/underflow constants, for the mixed-precision
-//!   refinement drivers.
-//! * [`half`] — software [`F16`]/[`Bf16`] storage types (full [`Scalar`]
-//!   implementations; BLAS-3 on them accumulates in f32), the demotion
-//!   targets at the speed end of the lattice.
+//! * [`mixed`] — the one demotion edge ([`Demote`]/[`Promote`]):
+//!   `f64 ↔ f32` and `Complex<f64> ↔ Complex<f32>`, with the low
+//!   precision's eps/overflow/underflow constants and the checked slice
+//!   demotion the mixed-precision refinement drivers fall back on.
 //! * [`dd`] — [`Dd`], double-double extended precision (~31 decimal
 //!   digits) implementing [`Scalar`]/[`RealScalar`], the residual
-//!   precision at the accuracy end of the lattice.
+//!   precision of the `LA_REFINE=dd` loops and `gesvxx`/`posvxx`.
 //! * [`json`] — the dependency-free JSON writer/parser used by [`probe`]
 //!   reports and the bench harness.
 
@@ -76,7 +72,6 @@ pub mod dd;
 pub mod enums;
 pub mod error;
 pub mod except;
-pub mod half;
 pub mod json;
 pub mod mat;
 pub mod mixed;
@@ -94,7 +89,6 @@ pub use dd::Dd;
 pub use enums::{Diag, Norm, Side, Trans, Uplo};
 pub use error::{erinfo, LaError, PositiveInfo};
 pub use except::FpCheckPolicy;
-pub use half::{Bf16, F16};
 pub use mat::{Mat, MatMut, MatRef};
 pub use mixed::{Demote, Promote};
 pub use probe::ProbePolicy;

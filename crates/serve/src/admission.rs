@@ -43,7 +43,7 @@ pub(crate) const CLASSES: usize = 4;
 /// EWMA smoothing: new = old + (sample − old)/8.
 const EWMA_SHIFT: u32 = 3;
 
-/// Brownout ceiling: Dd off → lattice level down → ABFT off.
+/// Brownout ceiling: Dd off → f32 mixed-precision solve → ABFT off.
 pub(crate) const MAX_LEVEL: u8 = 3;
 
 /// Admission decision for one submit.

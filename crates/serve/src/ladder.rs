@@ -34,22 +34,21 @@ use la_core::cancel;
 use la_core::ctx::{self, ExecCtx};
 use la_core::except::FpCheckPolicy;
 use la_core::tune::{self, GemmKernel, TuneConfig};
-use la_core::{LaError, Mat, RealScalar, Scalar, Side, Trans};
-use la_lapack::Lattice;
+use la_core::{Demote, LaError, Mat, RealScalar, Scalar, Side, Trans};
 
 use crate::{Rejection, ServeConfig, SolveOp, SolveOutput};
 
 /// A finished ladder run: the outcome plus whether any fault-class event
 /// (panic, soft fault, residual failure, NaN re-screen) occurred on the
 /// way — the input to the per-tenant circuit breaker.
-pub(crate) struct Attempted<T: Lattice> {
+pub(crate) struct Attempted<T: Demote> {
     pub outcome: Result<SolveOutput<T>, Rejection>,
     pub fault_seen: bool,
 }
 
 /// One solve attempt. The job's `a`/`b` stay pristine (attempts must be
 /// independent); the working copies are cloned here.
-fn solve_once<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>) -> Result<(Mat<T>, i32), LaError> {
+fn solve_once<T: Demote>(op: SolveOp, a: &Mat<T>, b: &Mat<T>) -> Result<(Mat<T>, i32), LaError> {
     match op {
         SolveOp::Gesv => {
             let mut af = a.clone();
@@ -84,7 +83,7 @@ fn solve_once<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>) -> Result<(Mat<T>
 /// enough that a corrupted stripe (an O(1)-relative error) cannot pass.
 /// The `Posv` ops multiply through `symm` on the stored triangle, so a
 /// caller who filled only one triangle is judged fairly.
-fn residual_ok<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>) -> bool {
+fn residual_ok<T: Demote>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>) -> bool {
     let n = a.nrows();
     let nrhs = b.ncols();
     if n == 0 || nrhs == 0 {
@@ -158,7 +157,7 @@ fn residual_ok<T: Lattice>(op: SolveOp, a: &Mat<T>, b: &Mat<T>, x: &Mat<T>) -> b
 
 /// Runs the ladder for one job. Assumes the caller has already installed
 /// the job's cancel token, probe scope and ABFT scope on this thread.
-pub(crate) fn run<T: Lattice>(
+pub(crate) fn run<T: Demote>(
     op: SolveOp,
     a: &Mat<T>,
     b: &Mat<T>,

@@ -93,8 +93,7 @@ pub use handle::JobHandle;
 pub use service::{ServeStats, Service};
 pub use tenant::TenantReport;
 
-use la_core::{LaError, Mat, Uplo};
-use la_lapack::Lattice;
+use la_core::{Demote, LaError, Mat, Uplo};
 use std::time::{Duration, Instant};
 
 /// Which driver a job runs. The mixed variants take the demoted-precision
@@ -180,7 +179,7 @@ impl Priority {
 /// serving metadata (tenant, deadline). Build with [`JobSpec::new`] and
 /// the chained setters.
 #[derive(Debug)]
-pub struct JobSpec<T: Lattice> {
+pub struct JobSpec<T: Demote> {
     pub(crate) op: SolveOp,
     pub(crate) a: Mat<T>,
     pub(crate) b: Mat<T>,
@@ -197,7 +196,7 @@ pub struct JobSpec<T: Lattice> {
     pub(crate) chaos_wedge: Option<chaos::WedgeKind>,
 }
 
-impl<T: Lattice> JobSpec<T> {
+impl<T: Demote> JobSpec<T> {
     /// A request to solve `a·X = b` with `op`, for the default tenant,
     /// with no deadline of its own (the service default applies).
     pub fn new(op: SolveOp, a: Mat<T>, b: Mat<T>) -> Self {
@@ -272,7 +271,7 @@ impl<T: Lattice> JobSpec<T> {
 
 /// A completed solve.
 #[derive(Debug)]
-pub struct SolveOutput<T: Lattice> {
+pub struct SolveOutput<T: Demote> {
     /// The solution `X` (`n × nrhs`).
     pub x: Mat<T>,
     /// Mixed-path refinement iterations (`DSGESV` convention: ≥ 0 on the
@@ -287,7 +286,7 @@ pub struct SolveOutput<T: Lattice> {
     pub degraded: bool,
     /// The brownout level this job was actually served at (`0` = full
     /// quality; `1` = Dd refinement off; `2` = also demoted to the
-    /// mixed-precision lattice path; `3` = also ABFT verification off).
+    /// f32 mixed-precision path; `3` = also ABFT verification off).
     /// The *global* level at solve time may have been higher — the job's
     /// [`Priority`] shields it (see [`Priority`]).
     pub brownout: u8,
@@ -419,8 +418,8 @@ pub struct ServeConfig {
     pub watchdog: Option<Duration>,
     /// Permit the brownout ladder under sustained overload (requires
     /// [`target_delay`](ServeConfig::target_delay) for overload
-    /// detection): Dd refinement off → mixed-precision lattice level
-    /// down → ABFT verification off, applied least to
+    /// detection): Dd refinement off → f32 mixed-precision solve →
+    /// ABFT verification off, applied least to
     /// [`Priority::High`] jobs.
     pub brownout: bool,
 }

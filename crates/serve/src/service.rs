@@ -14,8 +14,7 @@ use la_core::cancel::{CancelToken, Heartbeat};
 use la_core::ctx::{self, ExecCtx};
 use la_core::probe::Layer;
 use la_core::tune::{RefineMode, TuneConfig};
-use la_core::{abft, probe, tune};
-use la_lapack::Lattice;
+use la_core::{abft, probe, tune, Demote};
 
 use crate::admission::{Controller, Verdict};
 use crate::handle::Shared;
@@ -24,7 +23,7 @@ use crate::watchdog::{self, patrol, WorkerSlot};
 use crate::{ladder, JobHandle, JobSpec, Rejection, ServeConfig, SolveOp, TenantReport};
 
 /// One admitted, not-yet-processed job.
-struct Queued<T: Lattice> {
+struct Queued<T: Demote> {
     spec: JobSpec<T>,
     shared: Arc<Shared<T>>,
     token: CancelToken,
@@ -87,7 +86,7 @@ pub struct ServeStats {
     pub queued: usize,
 }
 
-struct Inner<T: Lattice> {
+struct Inner<T: Demote> {
     cfg: ServeConfig,
     workers: usize,
     queue: Mutex<VecDeque<Queued<T>>>,
@@ -115,7 +114,7 @@ struct Inner<T: Lattice> {
     ctx: ExecCtx,
 }
 
-impl<T: Lattice> Inner<T> {
+impl<T: Demote> Inner<T> {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -125,18 +124,18 @@ impl<T: Lattice> Inner<T> {
 /// see [`ServeConfig`] for the knobs. Start one with [`Service::start`],
 /// feed it with [`Service::submit`], stop it with [`Service::shutdown`]
 /// (also run by `Drop`).
-pub struct Service<T: Lattice> {
+pub struct Service<T: Demote> {
     inner: Arc<Inner<T>>,
 }
 
 /// Counts a panic escaping the worker loop itself — by construction that
 /// should be impossible (every job runs under `catch_unwind`), and the
 /// chaos soak asserts the count stays zero.
-struct PoisonSentinel<T: Lattice> {
+struct PoisonSentinel<T: Demote> {
     inner: Arc<Inner<T>>,
 }
 
-impl<T: Lattice> Drop for PoisonSentinel<T> {
+impl<T: Demote> Drop for PoisonSentinel<T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.inner
@@ -147,7 +146,7 @@ impl<T: Lattice> Drop for PoisonSentinel<T> {
     }
 }
 
-impl<T: Lattice> Service<T> {
+impl<T: Demote> Service<T> {
     /// Starts the worker pool (and, when configured, the watchdog
     /// monitor) and returns the running service.
     ///
@@ -367,7 +366,7 @@ impl<T: Lattice> Service<T> {
     }
 }
 
-fn tenant_mut<T: Lattice, R>(
+fn tenant_mut<T: Demote, R>(
     inner: &Inner<T>,
     tenant: &str,
     f: impl FnOnce(&mut TenantState, u32) -> R,
@@ -379,7 +378,7 @@ fn tenant_mut<T: Lattice, R>(
     f(state, inner.cfg.breaker_threshold)
 }
 
-impl<T: Lattice> Drop for Service<T> {
+impl<T: Demote> Drop for Service<T> {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -387,7 +386,7 @@ impl<T: Lattice> Drop for Service<T> {
 
 /// Spawns worker `i` under the service's captured context — used both at
 /// start and for watchdog respawns.
-fn spawn_worker<T: Lattice>(
+fn spawn_worker<T: Demote>(
     inner: &Arc<Inner<T>>,
     i: usize,
     slot: Arc<WorkerSlot<T>>,
@@ -401,7 +400,7 @@ fn spawn_worker<T: Lattice>(
 
 /// Spawns the watchdog monitor: samples the worker slots at a fraction
 /// of the stall budget, escalating silent jobs (cancel → respawn).
-fn spawn_watchdog<T: Lattice>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHandle<()> {
+fn spawn_watchdog<T: Demote>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHandle<()> {
     let inner = Arc::clone(inner);
     let sample = (stall / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     std::thread::Builder::new()
@@ -444,7 +443,7 @@ fn spawn_watchdog<T: Lattice>(inner: &Arc<Inner<T>>, stall: Duration) -> JoinHan
         .expect("la-serve: failed to spawn watchdog thread")
 }
 
-fn worker_loop<T: Lattice>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
+fn worker_loop<T: Demote>(inner: Arc<Inner<T>>, slot: Arc<WorkerSlot<T>>) {
     let _sentinel = PoisonSentinel {
         inner: Arc::clone(&inner),
     };
@@ -496,11 +495,11 @@ fn brownout_span(level: u8) -> &'static str {
 
 /// Runs the ladder under the job's effective brownout level:
 /// `1` turns double-double refinement off, `2` additionally demotes the
-/// op to its mixed-precision lattice variant, `3` additionally turns
+/// op to its f32 mixed-precision variant, `3` additionally turns
 /// ABFT verification off. The answer's residual check (the no-wrong-
 /// answers gate) is never browned out, and the ladder's own `Recover`
 /// retry re-enables ABFT innermost if a fault does surface.
-fn run_browned_out<T: Lattice>(
+fn run_browned_out<T: Demote>(
     level: u8,
     op: SolveOp,
     a: &la_core::Mat<T>,
@@ -536,7 +535,7 @@ fn run_browned_out<T: Lattice>(
 /// Runs one job through the full robustness pipeline and fulfills its
 /// handle. Never lets a panic escape: the outer `catch_unwind` is the
 /// job boundary the crate docs promise.
-fn process<T: Lattice>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Queued<T>) {
+fn process<T: Demote>(inner: &Arc<Inner<T>>, slot: &Arc<WorkerSlot<T>>, job: Queued<T>) {
     let Queued {
         spec,
         shared,
