@@ -132,10 +132,15 @@ fn flop_product(d0: usize, d1: usize, d2: usize) -> u128 {
 /// Number of column stripes worth spawning for an `n`-column output under
 /// the current tuning config, with `min_cols` columns per stripe as the
 /// granularity floor. Returns 1 (serial) when the flop count is below the
-/// configured parallel threshold or the thread budget is 1.
+/// configured parallel threshold or the thread budget is 1. The
+/// threshold is tested first, so a call below it never resolves the
+/// thread budget.
 fn par_stripes(cfg: &tune::TuneConfig, flops: u128, n: usize, min_cols: usize) -> usize {
+    if flops < cfg.par_flops as u128 {
+        return 1;
+    }
     let nt = cfg.threads();
-    if nt <= 1 || flops < cfg.par_flops as u128 {
+    if nt <= 1 {
         return 1;
     }
     nt.min(n.div_ceil(min_cols.max(1))).max(1)

@@ -26,6 +26,8 @@
 //! assert_eq!(r, 1);
 //! ```
 
+use std::sync::OnceLock;
+
 use crate::ctx;
 
 /// Which microkernel the packed BLAS-3 path drives. Selected through the
@@ -151,8 +153,8 @@ impl RefineMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneConfig {
     /// Thread budget for parallel BLAS-3. `0` means auto-detect
-    /// (`available_parallelism`, capped at 8). `1` forces every operation
-    /// serial.
+    /// (`available_parallelism`, capped at 8; the cores are detected once
+    /// per process). `1` forces every operation serial.
     pub max_threads: usize,
     /// Effective-flop product (`m·n·k` for `gemm`, the analogous triple
     /// product for the other Level-3 operations) at or above which an
@@ -279,10 +281,13 @@ impl TuneConfig {
     /// threads on `host` cores. `oversubscribe` bypasses this clamp too —
     /// the equivalence tests and bench sweeps that force wide striping on
     /// small hosts keep working unchanged.
+    ///
+    /// The host core count is detected once per process (the first call
+    /// pays for `available_parallelism`, which reads cgroup files); the
+    /// `max_threads`, `oversubscribe` and pool-share rules above are
+    /// applied afresh on every call.
     pub fn threads(&self) -> usize {
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        let host = host_cores();
         if self.max_threads > 0 && self.oversubscribe {
             return self.max_threads;
         }
@@ -332,6 +337,18 @@ impl TuneConfig {
             192
         }
     }
+}
+
+/// Detected core count of this host, resolved once per process: the
+/// per-call `available_parallelism` lookup cost more than a whole small
+/// BLAS-3 call.
+fn host_cores() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 impl Default for TuneConfig {

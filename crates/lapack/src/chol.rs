@@ -12,42 +12,46 @@ use crate::lu::refine_generic;
 /// Unblocked Cholesky factorization (`xPOTF2`): `A = UᴴU` or `A = LLᴴ`.
 /// Returns `info > 0` if the leading minor of that order is not positive
 /// definite.
+///
+/// `Upper` runs right-looking: once `u_jj` is final, row `j` of `U` is
+/// scaled and copied (conjugated) into a per-call scratch row, and the
+/// trailing upper triangle takes the rank-1 update one column at a time
+/// as a slice-zip axpy, which vectorizes. Only the real part of each
+/// diagonal entry is updated, so the diagonal of `U` is exactly real.
+/// `Lower` runs left-looking: row `j` of `L` against the finished columns
+/// through `gemv`. Both reuse one scratch buffer for the whole call.
 pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
+    let mut scratch = vec![T::zero(); n];
     for j in 0..n {
         match uplo {
             Uplo::Upper => {
-                // ajj := a_jj - u_jᴴ u_j  (u_j = column above the diagonal).
-                let dot = dotc(j, &a[j * lda..], 1, &a[j * lda..], 1);
-                let ajj = a[j + j * lda].re() - dot.re();
+                // a_jj already holds a_jj − Σ_{i<j} |u_ij|² from the
+                // updates of the earlier steps.
+                let ajj = a[j + j * lda].re();
                 if ajj <= T::Real::zero() || !ajj.is_finite_r() {
                     return (j + 1) as i32;
                 }
                 let ajj = ajj.sqrt_r();
                 a[j + j * lda] = T::from_real(ajj);
                 if j + 1 < n {
-                    // Row j of U to the right: a(j, j+1..) := (a(j, j+1..)
-                    //   − a(0..j, j+1..)ᴴ a(0..j, j)) / ajj.
-                    let (head, tail) = a.split_at_mut((j + 1) * lda);
-                    let uj = &head[j * lda..j * lda + j];
-                    // Conjugate trick: the update is u_colᴴ · u_j for each
-                    // later column.
-                    let mut w = vec![T::zero(); n - j - 1];
-                    gemv(
-                        Trans::ConjTrans,
-                        j,
-                        n - j - 1,
-                        T::one(),
-                        tail,
-                        lda,
-                        uj,
-                        1,
-                        T::zero(),
-                        &mut w,
-                        1,
-                    );
-                    for (k, wk) in w.iter().enumerate() {
-                        let idx = j + k * lda;
-                        tail[idx] = (tail[idx] - wk.conj()).div_real(ajj);
+                    // Row j of U to the right: u_jk := a_jk / u_jj, kept
+                    // conjugated in the scratch row.
+                    let urow = &mut scratch[..n - j - 1];
+                    for (k, u) in urow.iter_mut().enumerate() {
+                        let idx = j + (j + 1 + k) * lda;
+                        a[idx] = a[idx].div_real(ajj);
+                        *u = a[idx].conj();
+                    }
+                    // A(j+1..=k, k) -= conj(u_j,j+1..=k) · u_jk for each
+                    // later column k.
+                    let tail = &mut a[(j + 1) * lda..];
+                    for (k, tc) in tail.chunks_mut(lda).take(n - j - 1).enumerate() {
+                        let ujk = urow[k].conj();
+                        for (x, &u) in tc[j + 1..j + 1 + k].iter_mut().zip(&urow[..k]) {
+                            *x -= u * ujk;
+                        }
+                        let d = &mut tc[j + 1 + k];
+                        *d = T::from_real(d.re() - ujk.abs_sqr());
                     }
                 }
             }
@@ -65,8 +69,11 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
                 a[j + j * lda] = T::from_real(ajj);
                 if j + 1 < n {
                     // a(j+1.., j) := (a(j+1.., j) − A(j+1.., 0..j)·conj(a(j, 0..j)ᵀ)) / ajj
-                    let mut w = vec![T::zero(); n - j - 1];
-                    let lrow: Vec<T> = (0..j).map(|k| a[j + k * lda].conj()).collect();
+                    let (lrow, w) = scratch.split_at_mut(j);
+                    let w = &mut w[..n - j - 1];
+                    for (k, l) in lrow.iter_mut().enumerate() {
+                        *l = a[j + k * lda].conj();
+                    }
                     gemv(
                         Trans::No,
                         n - j - 1,
@@ -74,10 +81,10 @@ pub fn potf2<T: Scalar>(uplo: Uplo, n: usize, a: &mut [T], lda: usize) -> i32 {
                         T::one(),
                         &a[j + 1..],
                         lda,
-                        &lrow,
+                        lrow,
                         1,
                         T::zero(),
-                        &mut w,
+                        w,
                         1,
                     );
                     for (k, wk) in w.iter().enumerate() {

@@ -37,28 +37,20 @@ pub fn getf2<T: Scalar>(m: usize, n: usize, a: &mut [T], lda: usize, ipiv: &mut 
         } else if info == 0 {
             info = (j + 1) as i32;
         }
-        // Trailing update: A(j+1.., j+1..) -= A(j+1.., j) * A(j, j+1..).
-        if j + 1 < m.min(n) || (j + 1 < m && j + 1 < n) {
-            let (col, rest) = {
-                // Split the buffer so the pivot column and trailing matrix
-                // can be borrowed disjointly: the trailing matrix starts at
-                // column j+1.
-                let split = (j + 1) * lda;
-                let (head, tail) = a.split_at_mut(split);
-                (&head[j + 1 + j * lda..j + 1 + j * lda + (m - j - 1)], tail)
-            };
-            if j + 1 < n {
-                // Row j of the trailing columns lives in `rest` at offset j.
-                // A(j+1:m, j+1:n) -= col * A(j, j+1:n)
-                let ncols = n - j - 1;
-                // Gather the row multipliers first (they live in `rest`).
-                for k in 0..ncols {
-                    let ajk = rest[j + k * lda];
-                    if !ajk.is_zero() {
-                        for i in 0..m - j - 1 {
-                            let upd = col[i] * ajk;
-                            rest[j + 1 + i + k * lda] -= upd;
-                        }
+        // Trailing update: A(j+1.., j+1..) -= A(j+1.., j) * A(j, j+1..),
+        // one column at a time as a slice-zip axpy (no bounds checks in
+        // the inner loop, so it vectorizes).
+        if j + 1 < m && j + 1 < n {
+            // The pivot column and the trailing columns are disjoint
+            // halves of the buffer: the trailing matrix starts at column
+            // j+1.
+            let (head, rest) = a.split_at_mut((j + 1) * lda);
+            let col = &head[j + 1 + j * lda..j * lda + m];
+            for tc in rest.chunks_mut(lda).take(n - j - 1) {
+                let ajk = tc[j];
+                if !ajk.is_zero() {
+                    for (x, &l) in tc[j + 1..m].iter_mut().zip(col) {
+                        *x -= l * ajk;
                     }
                 }
             }
