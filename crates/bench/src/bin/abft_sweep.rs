@@ -6,24 +6,16 @@
 //! `<op>_verify_<n>` and `<op>_recover_<n>`, each policy's time over the
 //! `Off` time at the same size. The Huang–Abraham checksums cost O(n²)
 //! against the O(n³) compute, so the ratio must approach 1 as n grows;
-//! `bench_gate --max-abft-overhead` enforces the ceiling on the verify
-//! ratios at n ≥ 1024.
+//! `bench_gate` ceilings the baseline's verify ratios at n ≥ 1024.
 //!
 //! `--quick` shrinks the sweep for CI (n = 512 only) and writes
 //! `BENCH_abft.quick.json`, leaving the checked-in baseline untouched.
 
+use la_bench::report::{host_cores, quick_flag, Report, Row};
 use la_bench::{bench_matrix, bench_spd, timeit};
 use la_core::abft::{self, AbftPolicy};
-use la_core::json::JsonBuf;
 use la_core::{Mat, Trans, Uplo};
 use la_lapack as f77;
-
-struct Row {
-    op: &'static str,
-    policy: &'static str,
-    n: usize,
-    ms: f64,
-}
 
 const POLICIES: [(AbftPolicy, &str); 3] = [
     (AbftPolicy::Off, "off"),
@@ -32,10 +24,8 @@ const POLICIES: [(AbftPolicy, &str); 3] = [
 ];
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let quick = quick_flag();
+    let cores = host_cores();
     let mode = if quick { " (quick)" } else { "" };
     println!("== abft_sweep{mode}: {cores} core(s) ==");
 
@@ -43,6 +33,8 @@ fn main() {
     let sizes: &[usize] = if quick { &[512] } else { &[512, 1024, 2048] };
 
     let mut rows: Vec<Row> = Vec::new();
+    // Per-op overheads, keyed op-major like the committed baseline.
+    let mut overheads: [Vec<(String, f64)>; 3] = Default::default();
     for &n in sizes {
         let gen: Mat<f64> = bench_matrix(n, 3);
         let spd: Mat<f64> = bench_spd(n, 9);
@@ -109,59 +101,17 @@ fn main() {
             for (pi, &(_, pname)) in POLICIES.iter().enumerate() {
                 let ms = best[oi][pi];
                 println!("{op:6} {pname:7} n={n:5}  {ms:9.2} ms");
-                rows.push(Row {
-                    op,
-                    policy: pname,
-                    n,
-                    ms,
-                });
+                rows.push(Row::new(format!("{op}_{pname}"), n, ms));
             }
+            // Headline: per-policy overhead over Off at the same size.
+            let [off, verify, recover] = best[oi];
+            overheads[oi].push((format!("{op}_verify_{n}"), verify / off));
+            overheads[oi].push((format!("{op}_recover_{n}"), recover / off));
         }
     }
 
-    // --- Emit JSON ----------------------------------------------------
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.key("host");
-    j.begin_obj();
-    j.field_uint("cores", cores as u64);
-    j.end_obj();
-    j.key("abft_sweep");
-    j.begin_arr();
-    for r in &rows {
-        j.begin_obj();
-        j.field_str("op", &format!("{}_{}", r.op, r.policy));
-        j.field_uint("n", r.n as u64);
-        j.field_num("ms", r.ms);
-        j.end_obj();
-    }
-    j.end_arr();
-    // Headline: per-policy overhead over Off at the same size.
-    j.key("abft_overhead");
-    j.begin_obj();
-    for op in ["gemm", "getrf", "potrf"] {
-        for &n in sizes {
-            let time = |pname: &str| {
-                rows.iter()
-                    .find(|r| r.op == op && r.policy == pname && r.n == n)
-                    .map(|r| r.ms)
-            };
-            if let (Some(off), Some(v), Some(rec)) = (time("off"), time("verify"), time("recover"))
-            {
-                if off > 0.0 {
-                    j.field_num(&format!("{op}_verify_{n}"), v / off);
-                    j.field_num(&format!("{op}_recover_{n}"), rec / off);
-                }
-            }
-        }
-    }
-    j.end_obj();
-    j.end_obj();
-    let path = if quick {
-        "BENCH_abft.quick.json"
-    } else {
-        "BENCH_abft.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+    let mut report = Report::new("abft", quick, &[]);
+    report.rows("abft_sweep", &rows);
+    report.map("abft_overhead", overheads.into_iter().flatten());
+    report.write();
 }

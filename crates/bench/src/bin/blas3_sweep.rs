@@ -7,12 +7,12 @@
 //! callers use — so the sweep doubles as an end-to-end check that the
 //! runtime tuning actually steers the substrate.
 //!
-//! `--quick` shrinks the sweep for CI (n = 512 only, still best-of-3)
+//! `--quick` shrinks the sweep for CI (n = 512 only, still best-of-5)
 //! and writes `BENCH_blas3.quick.json` instead, leaving the checked-in
 //! baseline untouched; the `bench_gate` binary compares the two.
 
+use la_bench::report::{host_cores, quick_flag, Report, Row};
 use la_bench::{bench_matrix, bench_spd, timeit};
-use la_core::json::JsonBuf;
 use la_core::{tune, Mat, Trans, Uplo};
 use la_lapack as f77;
 
@@ -27,19 +27,17 @@ fn cfg_threads(t: usize) -> tune::TuneConfig {
     }
 }
 
-struct Row {
-    op: &'static str,
-    n: usize,
-    threads: usize,
-    nb: usize,
-    ms: f64,
+fn row(op: &str, n: usize, threads: usize, nb: usize, ms: f64) -> Row {
+    Row {
+        threads: Some(threads),
+        nb: Some(nb),
+        ..Row::new(op, n, ms)
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let quick = quick_flag();
+    let cores = host_cores();
     let auto = tune::TuneConfig::defaults().threads();
     let mode = if quick { " (quick)" } else { "" };
     println!("== blas3_sweep{mode}: {cores} core(s), auto thread budget {auto} ==");
@@ -88,13 +86,7 @@ fn main() {
                 c
             }) * 1e3;
             println!("gemm   n={n:5}  threads={t}  {ms:9.2} ms");
-            rows.push(Row {
-                op: "gemm",
-                n,
-                threads: t,
-                nb: 0,
-                ms,
-            });
+            rows.push(row("gemm", n, t, 0, ms));
 
             let ms = timeit(reps, || {
                 let mut c: Mat<f64> = Mat::zeros(n, n);
@@ -115,13 +107,7 @@ fn main() {
                 c
             }) * 1e3;
             println!("syrk   n={n:5}  threads={t}  {ms:9.2} ms");
-            rows.push(Row {
-                op: "syrk",
-                n,
-                threads: t,
-                nb: 0,
-                ms,
-            });
+            rows.push(row("syrk", n, t, 0, ms));
 
             let ms = timeit(reps, || {
                 let mut x = b.clone();
@@ -143,13 +129,7 @@ fn main() {
                 x
             }) * 1e3;
             println!("trsm   n={n:5}  threads={t}  {ms:9.2} ms");
-            rows.push(Row {
-                op: "trsm",
-                n,
-                threads: t,
-                nb: 0,
-                ms,
-            });
+            rows.push(row("trsm", n, t, 0, ms));
         }
     }
 
@@ -167,13 +147,7 @@ fn main() {
                 a
             }) * 1e3;
             println!("getrf  n={n:5}  threads={t}  {ms:9.2} ms");
-            rows.push(Row {
-                op: "getrf",
-                n,
-                threads: t,
-                nb: 0,
-                ms,
-            });
+            rows.push(row("getrf", n, t, 0, ms));
 
             let ms = timeit(reps, || {
                 let mut a = spd.clone();
@@ -183,13 +157,7 @@ fn main() {
                 a
             }) * 1e3;
             println!("potrf  n={n:5}  threads={t}  {ms:9.2} ms");
-            rows.push(Row {
-                op: "potrf",
-                n,
-                threads: t,
-                nb: 0,
-                ms,
-            });
+            rows.push(row("potrf", n, t, 0, ms));
         }
     }
 
@@ -213,13 +181,7 @@ fn main() {
             a
         }) * 1e3;
         println!("getrf  n={n:5}  nb={nb:3}       {ms:9.2} ms");
-        rows.push(Row {
-            op: "getrf_nb",
-            n,
-            threads: 0,
-            nb,
-            ms,
-        });
+        rows.push(row("getrf_nb", n, 0, nb, ms));
 
         let ms = timeit(reps, || {
             let mut a = spd.clone();
@@ -229,23 +191,12 @@ fn main() {
             a
         }) * 1e3;
         println!("potrf  n={n:5}  nb={nb:3}       {ms:9.2} ms");
-        rows.push(Row {
-            op: "potrf_nb",
-            n,
-            threads: 0,
-            nb,
-            ms,
-        });
+        rows.push(row("potrf_nb", n, 0, nb, ms));
     }
 
     // --- Emit JSON ----------------------------------------------------
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.key("host");
-    j.begin_obj();
-    j.field_uint("cores", cores as u64);
-    j.field_uint("auto_thread_budget", auto as u64);
-    j.end_obj();
+    let mut report = Report::new("blas3", quick, &[("auto_thread_budget", auto as u64)]);
+    let j = report.json();
     // Pre-PR reference (serial trailing-update substrate, single-core
     // container): potrf/getrf wall-clock before the parallel BLAS-3 layer
     // landed. Kept verbatim for cross-revision comparison.
@@ -260,77 +211,46 @@ fn main() {
     // Serial gemm wall-clock on the unpacked loop-nest substrate
     // immediately before the packed register-blocked microkernel path
     // landed, same single-core container. Kept verbatim: the
-    // `speedup_packed_vs_prepacked` section below (and the
-    // `bench_gate --min-gemm-speedup` floor) measure against it.
+    // `speedup_packed_vs_prepacked` section below (and the gate's
+    // packed-speedup floor) measure against it.
     j.key("pre_packed_gemm_baseline_ms");
     j.begin_obj();
     j.field_num("gemm_512", 42.296);
     j.field_num("gemm_1024", 249.516);
     j.field_uint("host_cores", 1);
     j.end_obj();
-    for (key, ops) in [
-        (
-            "thread_sweep",
-            &["gemm", "syrk", "trsm", "getrf", "potrf"][..],
-        ),
-        ("nb_sweep", &["getrf_nb", "potrf_nb"][..]),
-    ] {
-        j.key(key);
-        j.begin_arr();
-        for r in rows.iter().filter(|r| ops.contains(&r.op)) {
-            j.begin_obj();
-            j.field_str("op", r.op);
-            j.field_uint("n", r.n as u64);
-            j.field_uint("threads", r.threads as u64);
-            j.field_uint("nb", r.nb as u64);
-            j.field_num("ms", r.ms);
-            j.end_obj();
-        }
-        j.end_arr();
-    }
+    // NB-sweep rows run under the auto thread budget, recorded as 0.
+    report.rows("thread_sweep", rows.iter().filter(|r| r.threads != Some(0)));
+    report.rows("nb_sweep", rows.iter().filter(|r| r.threads == Some(0)));
+    let serial = |op: &str, n: usize| {
+        rows.iter()
+            .find(|r| r.op == op && r.n == n && r.threads == Some(1))
+            .map(|r| r.ms)
+    };
     // Headline speedups: best parallel time over the forced-serial time.
-    j.key("speedup_vs_serial");
-    j.begin_obj();
+    let mut speedups = Vec::new();
     for op in ["gemm", "syrk", "trsm", "getrf", "potrf"] {
         for &n in sizes {
-            let serial = rows
-                .iter()
-                .find(|r| r.op == op && r.n == n && r.threads == 1)
-                .map(|r| r.ms);
             let best = rows
                 .iter()
-                .filter(|r| r.op == op && r.n == n && r.threads > 1)
+                .filter(|r| r.op == op && r.n == n && r.threads > Some(1))
                 .map(|r| r.ms)
                 .fold(f64::INFINITY, f64::min);
-            if let Some(s) = serial {
-                if best.is_finite() {
-                    j.field_num(&format!("{op}_{n}"), s / best);
-                }
+            if let Some(s) = serial(op, n).filter(|_| best.is_finite()) {
+                speedups.push((format!("{op}_{n}"), s / best));
             }
         }
     }
-    j.end_obj();
+    report.map("speedup_vs_serial", speedups);
     // Packed-path headline: fresh serial gemm against the recorded
-    // pre-packed serial baseline. `bench_gate --min-gemm-speedup`
-    // enforces an absolute floor on these ratios at n ≥ 512.
-    j.key("speedup_packed_vs_prepacked");
-    j.begin_obj();
-    for (n, pre_ms) in [(512usize, 42.296f64), (1024, 249.516)] {
-        let fresh = rows
-            .iter()
-            .find(|r| r.op == "gemm" && r.n == n && r.threads == 1)
-            .map(|r| r.ms);
-        if let Some(ms) = fresh {
-            j.field_num(&format!("gemm_{n}"), pre_ms / ms);
-        }
-    }
-    j.end_obj();
-    j.end_obj();
-    let path = if quick {
-        "BENCH_blas3.quick.json"
-    } else {
-        "BENCH_blas3.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+    // pre-packed serial baseline; the gate floors these ratios at n ≥ 512.
+    report.map(
+        "speedup_packed_vs_prepacked",
+        [(512usize, 42.296f64), (1024, 249.516)]
+            .into_iter()
+            .filter_map(|(n, pre_ms)| {
+                serial("gemm", n).map(|ms| (format!("gemm_{n}"), pre_ms / ms))
+            }),
+    );
+    report.write();
 }

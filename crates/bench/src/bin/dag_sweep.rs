@@ -11,11 +11,11 @@
 //!
 //! `--quick` shrinks the sweep for CI (n = 512 only) and writes
 //! `BENCH_dag.quick.json` instead, leaving the checked-in baseline
-//! untouched; `bench_gate --min-dag-speedup` enforces the committed
-//! baseline's dag-over-blocked floor at n ≥ 2048.
+//! untouched; `bench_gate` floors the committed baseline's best
+//! dag-over-blocked ratio at n ≥ 2048.
 
+use la_bench::report::{host_cores, quick_flag, Report, Row};
 use la_bench::{bench_matrix, bench_spd, timeit};
-use la_core::json::JsonBuf;
 use la_core::probe::{self, ProbePolicy};
 use la_core::{tune, Mat, Uplo};
 use la_lapack as f77;
@@ -43,14 +43,6 @@ fn dag_cfg() -> tune::TuneConfig {
     }
 }
 
-struct Row {
-    op: String,
-    n: usize,
-    nb: usize,
-    ms: f64,
-    gflops: f64,
-}
-
 /// Model flop counts for the square factorizations (LAPACK working
 ///-note formulas), used only for the reported GF/s column.
 fn flops(family: &str, n: usize) -> f64 {
@@ -64,10 +56,8 @@ fn flops(family: &str, n: usize) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let quick = quick_flag();
+    let cores = host_cores();
     let mode = if quick { " (quick)" } else { "" };
     println!("== dag_sweep{mode}: {cores} core(s), threads={THREADS}, tile_nb={TILE_NB} ==");
 
@@ -154,32 +144,16 @@ fn main() {
     });
 
     // --- Emit JSON ----------------------------------------------------
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.key("host");
-    j.begin_obj();
-    j.field_uint("cores", cores as u64);
-    j.field_uint("threads", THREADS as u64);
-    j.field_uint("tile_nb", TILE_NB as u64);
-    j.end_obj();
-    j.key("dag_sweep");
-    j.begin_arr();
-    for r in &rows {
-        j.begin_obj();
-        j.field_str("op", &r.op);
-        j.field_uint("n", r.n as u64);
-        j.field_uint("threads", THREADS as u64);
-        j.field_uint("nb", r.nb as u64);
-        j.field_num("ms", r.ms);
-        j.field_num("gflops", r.gflops);
-        j.end_obj();
-    }
-    j.end_arr();
+    let mut report = Report::new(
+        "dag",
+        quick,
+        &[("threads", THREADS as u64), ("tile_nb", TILE_NB as u64)],
+    );
+    report.rows("dag_sweep", &rows);
     // Headline ratios: blocked wall-clock over dag wall-clock, per
-    // routine and size. `bench_gate --min-dag-speedup` enforces a floor
-    // on the getrf/potrf entries at n ≥ 2048.
-    j.key("speedup_dag_vs_blocked");
-    j.begin_obj();
+    // routine and size; the gate floors the best getrf/potrf entry at
+    // n ≥ 2048.
+    let mut speedups = Vec::new();
     for family in ["getrf", "potrf", "geqrf"] {
         for &n in sizes {
             let find = |algo: &str| {
@@ -188,11 +162,12 @@ fn main() {
                     .map(|r| r.ms)
             };
             if let (Some(blocked), Some(dag)) = (find("blocked"), find("dag")) {
-                j.field_num(&format!("{family}_{n}"), blocked / dag);
+                speedups.push((format!("{family}_{n}"), blocked / dag));
             }
         }
     }
-    j.end_obj();
+    report.map("speedup_dag_vs_blocked", speedups);
+    let j = report.json();
     j.key("dag_shape");
     j.begin_arr();
     for (routine, s) in &shapes {
@@ -207,24 +182,16 @@ fn main() {
         j.end_obj();
     }
     j.end_arr();
-    j.end_obj();
-    let path = if quick {
-        "BENCH_dag.quick.json"
-    } else {
-        "BENCH_dag.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+    report.write();
 }
 
 fn push(rows: &mut Vec<Row>, family: &str, algo: &str, n: usize, nb: usize, ms: f64) {
     let gflops = flops(family, n) / (ms * 1e-3) / 1e9;
     println!("{family:6} {algo:8} n={n:5}  {ms:9.2} ms  {gflops:7.2} GF/s");
     rows.push(Row {
-        op: format!("{family}_{algo}"),
-        n,
-        nb,
-        ms,
-        gflops,
+        threads: Some(THREADS),
+        nb: Some(nb),
+        gflops: Some(gflops),
+        ..Row::new(format!("{family}_{algo}"), n, ms)
     });
 }

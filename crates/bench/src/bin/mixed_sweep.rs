@@ -11,27 +11,20 @@
 //!
 //! Besides the timing rows, the sweep records the `dd_hilbert` accuracy
 //! section: the componentwise backward error `gesvxx` (double-double
-//! residual refinement) achieves on the n = 12 Hilbert system — the
-//! measurement `bench_gate --max-dd-berr` holds at ≤ 4ε.
+//! residual refinement) achieves on the n = 12 Hilbert system, which
+//! `bench_gate` holds at ≤ 4ε in both the baseline and the quick run.
 //!
 //! `--quick` shrinks the sweep for CI (n = 512 only, still best-of-3)
 //! and writes `BENCH_mixed.quick.json`, leaving the checked-in baseline
 //! untouched; the `bench_gate` binary compares the two and additionally
-//! enforces the ≥1.2× mixed-over-full floor on the baseline at n ≥ 1024
-//! plus the `--min-lattice-speedup` floor on the double-double row.
+//! floors the baseline's mixed-over-full and double-double speedups at
+//! n ≥ 1024.
 
+use la_bench::report::{host_cores, quick_flag, Report, Row};
 use la_bench::{bench_matrix, bench_spd, timeit};
-use la_core::json::JsonBuf;
 use la_core::tune::{self, RefineMode};
 use la_core::{Mat, Uplo};
 use la_lapack as f77;
-
-struct Row {
-    op: &'static str,
-    n: usize,
-    ms: f64,
-    iter: i32,
-}
 
 /// Times one `gesv_mixed` run in the given residual mode.
 fn time_gesv_mixed(
@@ -96,11 +89,16 @@ fn comp_berr(n: usize, a: &Mat<f64>, b: &[f64], x: &[f64]) -> f64 {
     berr
 }
 
+fn mixed_row(op: &str, n: usize, ms: f64, iter: i32) -> Row {
+    Row {
+        iter: Some(iter.max(0) as usize),
+        ..Row::new(op, n, ms)
+    }
+}
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let quick = quick_flag();
+    let cores = host_cores();
     let mode = if quick { " (quick)" } else { "" };
     println!("== mixed_sweep{mode}: {cores} core(s) ==");
 
@@ -125,12 +123,7 @@ fn main() {
             bx
         }) * 1e3;
         println!("gesv_full   n={n:5}  {ms:9.2} ms");
-        rows.push(Row {
-            op: "gesv_full",
-            n,
-            ms,
-            iter: 0,
-        });
+        rows.push(mixed_row("gesv_full", n, ms, 0));
 
         // Mixed: f32 factorization + f64 refinement, with working and
         // with double-double residuals. Must converge.
@@ -140,7 +133,7 @@ fn main() {
         ] {
             let (ms, iter) = time_gesv_mixed(n, reps, &gen, &b, refine);
             println!("{op:<11} n={n:5}  {ms:9.2} ms  (iter={iter})");
-            rows.push(Row { op, n, ms, iter });
+            rows.push(mixed_row(op, n, ms, iter));
         }
 
         // Plain full-precision Cholesky solve.
@@ -154,12 +147,7 @@ fn main() {
             bx
         }) * 1e3;
         println!("posv_full   n={n:5}  {ms:9.2} ms");
-        rows.push(Row {
-            op: "posv_full",
-            n,
-            ms,
-            iter: 0,
-        });
+        rows.push(mixed_row("posv_full", n, ms, 0));
 
         let mut last_iter = 0i32;
         let ms = timeit(reps, || {
@@ -186,76 +174,39 @@ fn main() {
             x
         }) * 1e3;
         println!("posv_mixed  n={n:5}  {ms:9.2} ms  (iter={last_iter})");
-        rows.push(Row {
-            op: "posv_mixed",
-            n,
-            ms,
-            iter: last_iter,
-        });
+        rows.push(mixed_row("posv_mixed", n, ms, last_iter));
     }
 
     // --- Emit JSON ----------------------------------------------------
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.key("host");
-    j.begin_obj();
-    j.field_uint("cores", cores as u64);
-    j.end_obj();
-    j.key("mixed_sweep");
-    j.begin_arr();
-    for r in &rows {
-        j.begin_obj();
-        j.field_str("op", r.op);
-        j.field_uint("n", r.n as u64);
-        j.field_num("ms", r.ms);
-        j.field_uint("iter", r.iter.max(0) as u64);
-        j.end_obj();
-    }
-    j.end_arr();
+    let mut report = Report::new("mixed", quick, &[]);
+    report.rows("mixed_sweep", &rows);
+    let time = |op: &str, n: usize| rows.iter().find(|r| r.op == op && r.n == n).map(|r| r.ms);
+    let speedups = |over: &'static str, key: &'static str, full: &'static str| {
+        sizes
+            .iter()
+            .filter_map(move |&n| match (time(full, n), time(over, n)) {
+                (Some(f), Some(m)) if m > 0.0 => Some((format!("{key}_{n}"), f / m)),
+                _ => None,
+            })
+    };
     // Headline: end-to-end mixed speedup over the plain driver.
-    j.key("speedup_mixed_vs_full");
-    j.begin_obj();
-    for family in ["gesv", "posv"] {
-        for &n in sizes {
-            let full = rows
-                .iter()
-                .find(|r| r.op == format!("{family}_full") && r.n == n)
-                .map(|r| r.ms);
-            let mixed = rows
-                .iter()
-                .find(|r| r.op == format!("{family}_mixed") && r.n == n)
-                .map(|r| r.ms);
-            if let (Some(f), Some(m)) = (full, mixed) {
-                if m > 0.0 {
-                    j.field_num(&format!("{family}_{n}"), f / m);
-                }
-            }
-        }
-    }
-    j.end_obj();
+    report.map(
+        "speedup_mixed_vs_full",
+        speedups("gesv_mixed", "gesv", "gesv_full").chain(speedups(
+            "posv_mixed",
+            "posv",
+            "posv_full",
+        )),
+    );
     // Speedup of the double-double residual loop over the plain
     // full-precision driver (the price of the extended residuals).
-    j.key("speedup_lattice_vs_full");
-    j.begin_obj();
-    for &n in sizes {
-        let full = rows
-            .iter()
-            .find(|r| r.op == "gesv_full" && r.n == n)
-            .map(|r| r.ms);
-        let dd = rows
-            .iter()
-            .find(|r| r.op == "gesv_mixed_dd" && r.n == n)
-            .map(|r| r.ms);
-        if let (Some(f), Some(m)) = (full, dd) {
-            if m > 0.0 {
-                j.field_num(&format!("gesv_dd_{n}"), f / m);
-            }
-        }
-    }
-    j.end_obj();
-    // Accuracy row for the CI gate: componentwise backward error of the
+    report.map(
+        "speedup_lattice_vs_full",
+        speedups("gesv_mixed_dd", "gesv_dd", "gesv_full"),
+    );
+    // Accuracy row for the gate: componentwise backward error of the
     // extra-precise (double-double residual) gesvxx on the n = 12
-    // Hilbert system — must stay ≤ 4ε (`bench_gate --max-dd-berr`).
+    // Hilbert system — must stay ≤ 4ε.
     {
         let n = 12;
         let hil: Mat<f64> = Mat::from_fn(n, n, |i, j| 1.0 / (i + j + 1) as f64);
@@ -268,18 +219,12 @@ fn main() {
             "dd_hilbert  n={n:5}  comp berr {berr:.3e}  (4eps = {:.3e})",
             4.0 * f64::EPSILON
         );
+        let j = report.json();
         j.key("dd_hilbert");
         j.begin_obj();
         j.field_uint("n", n as u64);
         j.field_num("berr", berr);
         j.end_obj();
     }
-    j.end_obj();
-    let path = if quick {
-        "BENCH_mixed.quick.json"
-    } else {
-        "BENCH_mixed.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+    report.write();
 }

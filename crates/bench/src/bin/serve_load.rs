@@ -15,7 +15,7 @@
 //! bursts injected on top with `--chaos`), runs against the fixed-depth
 //! queue bound and against the adaptive admission controller, and both
 //! rows land in an `"overload"` JSON section for `bench_gate` to hold
-//! the line on (`--max-overload-p99-ms`, `--min-overload-goodput`).
+//! the line on (the adaptive row's p99 ceiling and goodput floor).
 //! The same invariants apply, plus: every *admitted* job must resolve.
 //!
 //! `--quick` shrinks the sweep for CI and writes
@@ -23,8 +23,8 @@
 
 use std::time::Instant;
 
+use la_bench::report::{host_cores, quick_flag, Report};
 use la_bench::{bench_matrix, bench_spd, rowsum_rhs};
-use la_core::json::JsonBuf;
 use la_core::{Mat, RealScalar, Scalar, Trans};
 use la_serve::{JobSpec, Rejection, ServeConfig, Service, SolveOp};
 
@@ -613,12 +613,10 @@ mod overload {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = quick_flag();
     let chaos = args.iter().any(|a| a == "--chaos");
     let do_overload = args.iter().any(|a| a == "--overload");
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let cores = host_cores();
     let mode = if quick { " (quick)" } else { "" };
     println!("== serve_load{mode}: {cores} core(s) ==");
 
@@ -771,12 +769,8 @@ fn main() {
     };
 
     // --- Emit JSON ----------------------------------------------------
-    let mut j = JsonBuf::new();
-    j.begin_obj();
-    j.key("host");
-    j.begin_obj();
-    j.field_uint("cores", cores as u64);
-    j.end_obj();
+    let mut report = Report::new("serve", quick, &[]);
+    let j = report.json();
     j.key("serve_sweep");
     j.begin_arr();
     #[cfg(feature = "fault-inject")]
@@ -856,14 +850,7 @@ fn main() {
         }
         j.end_arr();
     }
-    j.end_obj();
-    let path = if quick {
-        "BENCH_serve.quick.json"
-    } else {
-        "BENCH_serve.json"
-    };
-    std::fs::write(path, j.into_string()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+    report.write();
     if failed {
         std::process::exit(1);
     }

@@ -2,7 +2,12 @@
 //! every structure class, a deliberately naive reference GEMM used as the
 //! "no blocking" baseline in the §1.1 experiments, a self-contained
 //! SplitMix64 PRNG (no external `rand` — the suite must build offline),
-//! and a minimal wall-clock timing harness replacing criterion.
+//! a minimal wall-clock timing harness replacing criterion, the one
+//! results format every sweep writes ([`report`]) and the CI gate that
+//! reads it back ([`gate`]).
+
+pub mod gate;
+pub mod report;
 
 use la_core::{Mat, RealScalar, Scalar};
 use la_lapack::{lagge, spectrum, Dist, Larnv, SpectrumMode};
